@@ -6,9 +6,11 @@ axis.  Used here not to produce p parts directly but to produce the full
 physically proximate vertices get nearby indices, so "partitioning is
 equivalent to assigning contiguous blocks" (Sec. 3.1) for any p.
 
-The recursion is implemented iteratively with an explicit stack and
-vectorized ``argpartition`` median splits, so it handles the paper's 30k
-vertex mesh in well under a second.
+The bisection tree is built level-synchronously.  The vertex arrangement
+is one array of contiguous segments, one per tree node; each of the
+⌈log2 n⌉ levels picks every segment's split axis at once (``reduceat``
+extents), orders all segments with one O(n log n) segmented sort, and
+splits each segment in place into its lower and upper half.
 """
 
 from __future__ import annotations
@@ -25,36 +27,6 @@ from repro.utils.rng import SeedLike, as_generator
 __all__ = ["RCBOrdering", "rcb_order", "rcb_labels"]
 
 
-def _split_axis(coords: np.ndarray, idx: np.ndarray, axis: int | None) -> int:
-    """Choose the axis to split: widest extent, or the given axis."""
-    if axis is not None:
-        return axis
-    sub = coords[idx]
-    extents = sub.max(axis=0) - sub.min(axis=0)
-    return int(np.argmax(extents))
-
-
-def _median_split(
-    coords: np.ndarray,
-    idx: np.ndarray,
-    axis: int,
-    jitter: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split *idx* at the median of coordinate *axis*, sizes n//2 / n-n//2.
-
-    ``jitter`` (a tiny per-vertex tiebreak) makes the split deterministic
-    even with exactly-equal coordinates (structured grids).
-    """
-    keys = coords[idx, axis]
-    if jitter is not None:
-        keys = keys + jitter[idx]
-    half = idx.size // 2
-    part = np.argpartition(keys, half - 1) if half > 0 else np.arange(idx.size)
-    lo = idx[part[:half]]
-    hi = idx[part[half:]]
-    return lo, hi
-
-
 def rcb_order(
     graph: CSRGraph,
     *,
@@ -64,35 +36,63 @@ def rcb_order(
     """RCB visit order: vertex ids in 1-D sequence.
 
     ``alternate_axes=True`` cycles the split axis x, y, x, ... (the textbook
-    variant); the default picks the widest axis per box, which adapts to
-    anisotropic domains like the airfoil channel.
+    variant); the default picks the widest axis per box (lowest axis on
+    ties), which adapts to anisotropic domains like the airfoil channel.
+    A box of n vertices splits into its n//2 lowest keys, emitted first,
+    and the other n - n//2.
+
+    A vertex's key on an axis is its coordinate plus a tiny seeded jitter.
+    Keys can still tie exactly when coordinates carry a large offset (the
+    jitter scales with the coordinate range, not their magnitude).  Tied
+    vertices keep their previous-level arrangement, which starts from
+    vertex id: the segmented sort is stable.
     """
     coords = require_coords(graph, "RCB")
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    rng = as_generator(seed)
     # Tiny deterministic jitter (1e-9 of the domain size) breaks coordinate
     # ties without perturbing real orderings.
     scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
-    jitter = rng.uniform(-1e-9, 1e-9, size=n) * scale
-    order = np.empty(n, dtype=np.intp)
-    out = 0
-    # Stack of (index array, depth); children pushed hi-first so lo side is
-    # emitted first, giving a left-to-right sweep like the paper's Fig. 2.
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), 0)]
-    while stack:
-        idx, depth = stack.pop()
-        if idx.size <= 1:
-            order[out : out + idx.size] = idx
-            out += idx.size
-            continue
-        axis = _split_axis(
-            coords, idx, depth % coords.shape[1] if alternate_axes else None
-        )
-        lo, hi = _median_split(coords, idx, axis, jitter)
-        stack.append((hi, depth + 1))
-        stack.append((lo, depth + 1))
+    jitter = as_generator(seed).uniform(-1e-9, 1e-9, size=n) * scale
+    dim = coords.shape[1]
+    cols = [np.ascontiguousarray(coords[:, d]) for d in range(dim)]
+    # Dense rank of every key (equal keys share a rank); vertex v's rank on
+    # axis a is ranks[a * n + v].
+    ranks = np.concatenate(
+        [np.unique(c + jitter, return_inverse=True)[1] for c in cols]
+    )
+    order = np.arange(n, dtype=np.intp)
+    # Segments still to split (size > 1): offset into order, and size.
+    starts = np.zeros(1, dtype=np.intp)
+    sizes = np.full(1, n, dtype=np.intp)
+    depth = out = 0
+    while starts.size:
+        first = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(starts.size, dtype=np.int64), sizes)
+        local = np.arange(seg.size) - first[seg]
+        pos = starts[seg] + local
+        idx = order.take(pos)
+        if alternate_axes:
+            axis = np.full(starts.size, depth % dim)
+        else:
+            extents = np.empty((dim, starts.size))
+            for d, col in enumerate(cols):
+                sub = col.take(idx)
+                extents[d] = np.maximum.reduceat(sub, first)
+                extents[d] -= np.minimum.reduceat(sub, first)
+            axis = np.argmax(extents, axis=0)
+        # One segmented sort by (segment, key rank, position).  The composite
+        # is unique, so any argsort gives the stable np.lexsort((key, seg));
+        # sizes at one level differ by at most 1, so it is below 2 n**2.
+        key = seg * n + ranks.take(axis[seg] * n + idx)
+        order[pos] = idx.take(np.argsort(key * int(sizes.max()) + local))
+        half = sizes // 2
+        starts = np.stack([starts, starts + half], axis=1).ravel()
+        sizes = np.stack([half, sizes - half], axis=1).ravel()
+        out += int(np.count_nonzero(sizes == 1))
+        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+        depth += 1
     if out != n:
         raise OrderingError(f"RCB emitted {out} of {n} vertices (internal bug)")
     return order

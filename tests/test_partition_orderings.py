@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, perturbed_grid_mesh
+from repro.graph.generators import (
+    grid_graph,
+    grid_mesh_3d,
+    paper_mesh,
+    perturbed_grid_mesh,
+)
 from repro.graph.metrics import mean_edge_span
 from repro.partition.inertial import InertialOrdering, inertial_order, principal_axis
 from repro.partition.ordering import (
@@ -33,6 +38,7 @@ from repro.partition.spectral import (
     rsb_order,
     spectral_order_flat,
 )
+from repro.utils.rng import as_generator
 
 ALL_METHODS = [
     RCBOrdering(),
@@ -105,7 +111,107 @@ class TestOrderingBasics:
         assert seq == sorted(seq) or seq == sorted(seq, reverse=True)
 
 
+def stack_rcb_order(graph, *, alternate_axes=False, seed=0):
+    """Reference RCB: one argpartition median split per tree node.
+
+    The per-node recursion (explicit stack, lo side emitted first) that
+    ``rcb_order`` replaced; kept here as the oracle it is diffed against.
+    """
+    coords = graph.coords
+    n = graph.num_vertices
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
+    jitter = as_generator(seed).uniform(-1e-9, 1e-9, size=n) * scale
+    order = []
+    stack = [(np.arange(n, dtype=np.intp), 0)]
+    while stack:
+        idx, depth = stack.pop()
+        if idx.size <= 1:
+            order.extend(idx.tolist())
+            continue
+        if alternate_axes:
+            axis = depth % coords.shape[1]
+        else:
+            sub = coords[idx]
+            axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+        half = idx.size // 2
+        part = np.argpartition(coords[idx, axis] + jitter[idx], half - 1)
+        stack.append((idx[part[half:]], depth + 1))
+        stack.append((idx[part[:half]], depth + 1))
+    return np.asarray(order, dtype=np.intp)
+
+
+@pytest.fixture(scope="module")
+def paper_graph():
+    return paper_mesh(30269)
+
+
 class TestRCB:
+    @pytest.mark.parametrize("alternate_axes", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7, 1995])
+    @pytest.mark.parametrize("shape", ["paper", "grid", "grid3d"])
+    def test_matches_stack_oracle(self, paper_graph, shape, seed, alternate_axes):
+        graph = {
+            "paper": paper_graph,
+            "grid": grid_graph(37, 23),
+            "grid3d": grid_mesh_3d(9, 12, 7).graph,
+        }[shape]
+        got = rcb_order(graph, alternate_axes=alternate_axes, seed=seed)
+        want = stack_rcb_order(graph, alternate_axes=alternate_axes, seed=seed)
+        np.testing.assert_array_equal(got, want)
+
+    @given(
+        n=st.integers(0, 500),
+        dim=st.sampled_from([2, 3]),
+        snap=st.booleans(),
+        alternate_axes=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=1, dim=2, snap=False, alternate_axes=False, seed=0)
+    @example(n=2, dim=3, snap=True, alternate_axes=False, seed=1)
+    @example(n=3, dim=2, snap=True, alternate_axes=True, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stack_oracle_on_point_clouds(
+        self, n, dim, snap, alternate_axes, seed
+    ):
+        coords = np.random.default_rng(seed).random((n, dim))
+        if snap:  # repeated coordinates and equal extents on several axes
+            coords = np.round(coords * 4) / 4
+        graph = CSRGraph.from_edges(n, [], coords=coords)
+        got = rcb_order(graph, alternate_axes=alternate_axes, seed=seed)
+        want = stack_rcb_order(graph, alternate_axes=alternate_axes, seed=seed)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("alternate_axes", [False, True])
+    def test_exact_ties_split_cleanly_and_repeat(self, alternate_axes):
+        # A 1e12 offset swamps the jitter (1e-9 of the coordinate range),
+        # so the 4096 vertices have only 64 distinct keys per axis.
+        grid = grid_graph(64, 64)
+        coords = grid.coords + 1e12
+        graph = CSRGraph.from_edges(grid.num_vertices, grid.edge_array(), coords=coords)
+        order = rcb_order(graph, alternate_axes=alternate_axes)
+        assert np.array_equal(np.sort(order), np.arange(graph.num_vertices))
+        again = rcb_order(graph, alternate_axes=alternate_axes)
+        np.testing.assert_array_equal(order, again)
+        # The root box and both level-1 boxes: the lower half of each box
+        # lies at or below its upper half on the box's split axis.
+        n = order.size
+        for depth, box in [(0, order), (1, order[: n // 2]), (1, order[n // 2 :])]:
+            pts = coords[box]
+            if alternate_axes:
+                axis = depth % 2
+            else:
+                axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+            half = box.size // 2
+            assert pts[:half, axis].max() <= pts[half:, axis].min()
+
+    def test_exact_ties_keep_vertex_id_order(self):
+        # Coincident points tie on every axis at every level, and the stable
+        # segmented sort keeps them in vertex-id order.
+        graph = CSRGraph.from_edges(9, [], coords=np.ones((9, 3)))
+        np.testing.assert_array_equal(rcb_order(graph), np.arange(9))
+
     def test_median_split_sizes(self):
         g = grid_graph(4, 4)
         order = rcb_order(g)
