@@ -162,16 +162,16 @@ def run_parallel_spmv(
         local_diag = pmat.diag[lo:hi]
         start, stop = pmat.graph.indptr[lo], pmat.graph.indptr[hi]
         local_w = pmat.offdiag[start:stop]
+        rows, _, _ = plan.row_layout
         for _ in range(iterations):
             ghost = gather(ctx, insp.schedule, local_x)
             combined = (
                 np.concatenate([local_x, ghost]) if ghost.size else local_x
             )
-            y = local_diag * local_x
-            if plan.slots.size:
-                contrib = local_w * combined[plan.slots]
-                nz = plan.counts > 0
-                y[nz] += np.add.reduceat(contrib, plan.starts[nz])
+            contrib = local_w * combined[plan.slots]
+            y = local_diag * local_x + np.bincount(
+                rows, weights=contrib, minlength=plan.n_local
+            )
             ctx.compute(
                 kernel_cost.sweep_seconds(plan.n_references, local_x.size),
                 label="spmv",

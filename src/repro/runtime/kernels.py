@@ -11,12 +11,17 @@ i.e. one Jacobi-style neighbor-averaging sweep through an indirection
 array.  :func:`sequential_kernel` is the single-machine reference;
 :class:`KernelPlan` is the per-rank compiled form produced by the
 inspector (address-translated slots into the combined [local | ghost]
-buffer), applied with a fully vectorized ``add.reduceat``.
+buffer); the oracle runs the whole graph as one such plan.  The sweep
+sums each row with a row-id ``np.bincount``, which adds left to right
+from 0.0 like the loop, so both equal their literal transcriptions
+(``sweep_reference``, ``sequential_kernel_reference``) bit for bit,
+empty rows, signed zeros, inf and NaN included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,24 +61,7 @@ class KernelCostModel:
 
 def sequential_kernel(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
     """One vectorized sweep of the Fig. 8 loop over the whole graph."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (graph.num_vertices,):
-        raise ScheduleError(
-            f"y has shape {y.shape}, expected ({graph.num_vertices},)"
-        )
-    deg = graph.degrees
-    gathered = y[graph.indices]
-    sums = np.zeros(graph.num_vertices)
-    nonzero = deg > 0
-    starts = graph.indptr[:-1]
-    # reduceat misbehaves on empty segments; guard by computing only rows
-    # with neighbors and fixing empty rows to keep their value.
-    if gathered.size:
-        seg_sums = np.add.reduceat(gathered, starts[nonzero])
-        sums[nonzero] = seg_sums
-    out = y.copy()
-    out[nonzero] = sums[nonzero] / deg[nonzero]
-    return out
+    return run_sequential(graph, y, 1)
 
 
 def sequential_kernel_reference(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
@@ -99,9 +87,20 @@ def run_sequential(
 ) -> np.ndarray:
     """Run the Fig. 8 loop *iterations* times sequentially (the oracle for
     the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency)."""
-    y = np.asarray(y0, dtype=np.float64).copy()
+    y = np.array(y0, dtype=np.float64)
+    if y.shape != (graph.num_vertices,):
+        raise ScheduleError(
+            f"y has shape {y.shape}, expected ({graph.num_vertices},)"
+        )
+    # The whole graph as one rank's plan with no ghosts: the oracle runs
+    # the very sweep (and summation order) the parallel plans run.
+    whole = KernelPlan(
+        rank=0, n_local=graph.num_vertices, slots=graph.indices,
+        starts=graph.indptr[:-1], counts=graph.degrees,
+    )
+    no_ghosts = np.zeros(0)
     for _ in range(iterations):
-        y = sequential_kernel(graph, y)
+        y = whole.sweep(y, no_ghosts)
     return y
 
 
@@ -133,21 +132,44 @@ class KernelPlan:
     def n_references(self) -> int:
         return int(self.slots.size)
 
+    @cached_property
+    def row_layout(self) -> tuple[np.ndarray, ...]:
+        """The sweep's bincount bins (each reference's row), float divisors
+        (1.0 on empty rows) and empty rows, built once per plan."""
+        rows = np.repeat(np.arange(self.n_local, dtype=np.intp), self.counts)
+        divisors = np.maximum(self.counts, 1).astype(np.float64)
+        return rows, divisors, np.flatnonzero(self.counts == 0)
+
+    @cached_property
+    def ghost_needed(self) -> int:
+        """Shortest ghost buffer the slots fit (largest ghost slot + 1)."""
+        return max(int(self.slots.max(initial=-1)) + 1 - self.n_local, 0)
+
+    def _combined(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
+        if local_y.shape != (self.n_local,):
+            raise ScheduleError(
+                f"rank {self.rank}: local block has shape {local_y.shape}, "
+                f"plan expects ({self.n_local},)"
+            )
+        if ghost.ndim != 1 or ghost.size < self.ghost_needed:
+            raise ScheduleError(
+                f"rank {self.rank}: ghost buffer has shape {ghost.shape}, "
+                f"plan references {self.ghost_needed} ghost slots"
+            )
+        return np.concatenate([local_y, ghost]) if ghost.size else local_y
+
     def sweep(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """One vectorized kernel sweep over this rank's vertices."""
-        combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
-        out = np.array(local_y, dtype=np.float64, copy=True)
-        if self.slots.size == 0:
-            return out
-        gathered = combined[self.slots]
-        nonzero = self.counts > 0
-        seg_sums = np.add.reduceat(gathered, self.starts[nonzero])
-        out[nonzero] = seg_sums / self.counts[nonzero]
+        rows, divisors, empty = self.row_layout
+        gathered = self._combined(local_y, ghost)[self.slots]
+        out = np.bincount(rows, gathered, divisors.size) / divisors
+        if empty.size:
+            out[empty] = local_y[empty]
         return out
 
     def sweep_reference(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """Loop transcription of Fig. 8 over local data — test oracle."""
-        combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
+        combined = self._combined(local_y, ghost)
         out = np.array(local_y, dtype=np.float64, copy=True)
         for i in range(self.n_local):
             cnt = int(self.counts[i])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RankFailedError
+from repro.errors import RankFailedError, ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, perturbed_grid_mesh
 from repro.net.cluster import uniform_cluster
@@ -18,6 +18,7 @@ from repro.runtime.executor import gather, scatter
 from repro.runtime.inspector import run_inspector
 from repro.runtime.kernels import (
     KernelCostModel,
+    KernelPlan,
     build_kernel_plan,
     run_sequential,
     sequential_kernel,
@@ -151,9 +152,8 @@ class TestSequentialKernel:
     def test_matches_literal_reference(self):
         g = perturbed_grid_mesh(6, 6, seed=1).graph
         y = np.random.default_rng(0).uniform(size=g.num_vertices)
-        np.testing.assert_allclose(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y),
-            rtol=1e-12,
+        np.testing.assert_array_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
         )
 
     def test_isolated_vertex_keeps_value(self):
@@ -189,10 +189,8 @@ class TestSequentialKernel:
         edges = rng.integers(0, n, size=(m, 2))
         g = CSRGraph.from_edges(n, edges)
         y = rng.uniform(-10, 10, n)
-        np.testing.assert_allclose(
-            sequential_kernel(g, y),
-            sequential_kernel_reference(g, y),
-            rtol=1e-12, atol=1e-12,
+        np.testing.assert_array_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
         )
 
 
@@ -220,13 +218,9 @@ class TestKernelPlan:
         lo, hi = part.interval(0)
         rng = np.random.default_rng(4)
         local = rng.uniform(size=hi - lo)
-        ghost = rng.uniform(size=plan.slots.max() - (hi - lo) + 1
-                            if plan.slots.max() >= hi - lo else 0)
         ghost = rng.uniform(size=sched.ghost_size)
-        np.testing.assert_allclose(
-            plan.sweep(local, ghost),
-            plan.sweep_reference(local, ghost),
-            rtol=1e-12,
+        np.testing.assert_array_equal(
+            plan.sweep(local, ghost), plan.sweep_reference(local, ghost)
         )
 
     def test_plan_covers_all_local_degrees(self, mesh):
@@ -265,6 +259,140 @@ class TestKernelPlan:
         kc = KernelCostModel()
         per_iter = kc.sweep_seconds(2 * 44_929, 30_269)
         assert 500 * per_iter == pytest.approx(97.61, rel=0.2)
+
+
+def assert_bitwise(actual, expected):
+    """Equal bit for bit: same NaN positions, same sign on every zero."""
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual, expected)
+    real = ~np.isnan(expected)
+    np.testing.assert_array_equal(
+        np.signbit(actual[real]), np.signbit(expected[real])
+    )
+
+
+@st.composite
+def hub_graphs_and_values(draw):
+    """A graph with isolated vertices and a hub of degree >= 9 (where a
+    pairwise reduction would start to reorder the sum), plus values that
+    mix random doubles with +-0.0, +-inf and NaN."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(12, 40))
+    hub_degree = draw(st.integers(9, n - 3))
+    hub = int(rng.integers(n))
+    others = rng.permutation(np.delete(np.arange(n), hub))
+    # The last two vertices of `others` never get an edge: empty rows.
+    linked = others[:-2]
+    edges = [(hub, int(v)) for v in linked[:hub_degree]]
+    m = draw(st.integers(0, 2 * n))
+    edges += [tuple(int(v) for v in rng.choice(linked, 2)) for _ in range(m)]
+    graph = CSRGraph.from_edges(n, edges)
+    y = rng.uniform(-1e3, 1e3, n)
+    specials = draw(st.lists(
+        st.tuples(st.integers(0, n - 1),
+                  st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])),
+        max_size=4,
+    ))
+    for i, value in specials:
+        y[i] = value
+    return graph, y, int(others[-1]), draw(st.integers(1, 3))
+
+
+class TestSummationOrder:
+    """The vectorized sweeps add each row left to right from 0.0, exactly
+    like the Fig. 8 loop, so they equal its transcription bit for bit."""
+
+    @given(case=hub_graphs_and_values())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_fig8_loop_property(self, case):
+        graph, y, isolated, p = case
+        assert graph.degrees[isolated] == 0
+        assert graph.degrees.max() >= 9
+        with np.errstate(invalid="ignore"):  # inf - inf in the loop
+            expected = sequential_kernel_reference(graph, y)
+        assert_bitwise(sequential_kernel(graph, y), expected)
+        part = partition_list(graph.num_vertices, np.ones(p))
+        for rank in range(p):
+            sched = build_schedule_sort1(graph, part, rank)
+            plan = build_kernel_plan(graph, part, sched)
+            lo, hi = part.interval(rank)
+            local, ghost = y[lo:hi], y[sched.ghost_globals]
+            with np.errstate(invalid="ignore"):
+                expected = plan.sweep_reference(local, ghost)
+            assert_bitwise(plan.sweep(local, ghost), expected)
+
+    def test_run_sequential_repeats_the_sweep(self):
+        g = perturbed_grid_mesh(7, 5, seed=3).graph
+        y = np.random.default_rng(8).uniform(-1.0, 1.0, g.num_vertices)
+        expected = y
+        for _ in range(4):
+            expected = sequential_kernel_reference(g, expected)
+        assert_bitwise(run_sequential(g, y, 4), expected)
+        assert_bitwise(run_sequential(g, y, 0), y)
+
+    def test_empty_plan_sweeps_to_nothing(self):
+        empty = np.zeros(0, dtype=np.intp)
+        plan = KernelPlan(rank=2, n_local=0, slots=empty, starts=empty,
+                          counts=empty)
+        out = plan.sweep(np.zeros(0), np.zeros(0))
+        assert out.shape == (0,)
+        assert_bitwise(out, plan.sweep_reference(np.zeros(0), np.zeros(0)))
+
+    def test_plan_without_references_keeps_values(self):
+        empty = np.zeros(0, dtype=np.intp)
+        counts = np.zeros(3, dtype=np.intp)
+        plan = KernelPlan(rank=0, n_local=3, slots=empty, starts=counts,
+                          counts=counts)
+        y = np.array([-0.0, np.nan, 5.0])
+        assert_bitwise(plan.sweep(y, np.zeros(0)), y)
+
+
+class TestSweepInputChecks:
+    """Mis-sized sweep inputs are diagnosed, not a raw numpy crash."""
+
+    @pytest.fixture
+    def plan_and_inputs(self, mesh):
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 1)
+        plan = build_kernel_plan(mesh, part, sched)
+        lo, hi = part.interval(1)
+        assert sched.ghost_size > 0
+        return plan, np.ones(hi - lo), np.ones(sched.ghost_size)
+
+    @pytest.mark.parametrize("sweep", ["sweep", "sweep_reference"])
+    def test_short_ghost_buffer(self, plan_and_inputs, sweep):
+        plan, local, ghost = plan_and_inputs
+        with pytest.raises(ScheduleError, match=(
+            rf"rank 1: ghost buffer has shape \({ghost.size - 1},\), plan "
+            rf"references {ghost.size} ghost slots"
+        )):
+            getattr(plan, sweep)(local, ghost[:-1])
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_local_length(self, plan_and_inputs, delta):
+        plan, local, ghost = plan_and_inputs
+        bad = np.ones(local.size + delta)
+        with pytest.raises(ScheduleError, match=(
+            rf"rank 1: local block has shape \({bad.size},\), plan expects "
+            rf"\({plan.n_local},\)"
+        )):
+            plan.sweep(bad, ghost)
+
+    def test_two_dimensional_local_block(self, plan_and_inputs):
+        plan, local, ghost = plan_and_inputs
+        with pytest.raises(ScheduleError, match="rank 1: local block"):
+            plan.sweep(local[:, None], ghost)
+
+    def test_two_dimensional_ghost_buffer(self, plan_and_inputs):
+        plan, local, ghost = plan_and_inputs
+        with pytest.raises(ScheduleError, match="rank 1: ghost buffer"):
+            plan.sweep(local, ghost[:, None])
+
+    def test_longer_ghost_buffer_is_accepted(self, plan_and_inputs):
+        plan, local, ghost = plan_and_inputs
+        longer = np.concatenate([ghost, [np.nan]])
+        assert_bitwise(plan.sweep(local, longer), plan.sweep(local, ghost))
 
 
 class TestKernelPlanEmptyIntervals:
