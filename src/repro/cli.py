@@ -482,9 +482,19 @@ def _cmd_mcr(args: argparse.Namespace) -> int:
         overlap_elements,
         partition_list,
     )
+    from repro.utils.validation import check_probability_vector
 
     if len(args.old) != len(args.new):
         _log.error("--old and --new must have the same length")
+        return 2
+    for flag, caps in (("--old", args.old), ("--new", args.new)):
+        try:
+            check_probability_vector(flag, caps)
+        except ValueError as exc:
+            _log.error("%s, got %s", exc, " ".join(map(str, caps)))
+            return 2
+    if args.elements < 0:
+        _log.error("--elements must be >= 0, got %d", args.elements)
         return 2
     p = len(args.old)
     arrangement = minimize_cost_redistribution(

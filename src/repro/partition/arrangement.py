@@ -17,6 +17,18 @@ This module implements:
 * :func:`brute_force_arrangement` — exhaustive optimum for small p (the
   "trying out all cases is feasible only for a small number of processors"
   baseline).
+
+Every rank owns exactly one block in each partition, so the intersection
+of its old and new blocks is one interval, and no cut of either partition
+falls strictly inside a block.  Two adjacent non-empty segments of the
+union of cuts therefore never share an (old owner, new owner) pair: every
+segment that changes owner is one message.  The COST of Fig. 6 thus has a
+closed form in the two bounds arrays, O(p) per candidate::
+
+    kept     = sum_q max(0, min(old_hi_q, new_hi_q) - max(old_lo_q, new_lo_q))
+    messages = #distinct(old bounds U new bounds) - 1 - #{q : kept_q > 0}
+
+which is how MCR scores each of its O(p^2) candidates; a call stays O(p^3).
 """
 
 from __future__ import annotations
@@ -28,7 +40,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.partition.intervals import IntervalPartition, partition_list
+from repro.partition.intervals import (
+    IntervalPartition,
+    partition_list,
+    proportional_sizes,
+)
 from repro.utils.validation import check_permutation, check_probability_vector
 
 __all__ = [
@@ -91,14 +107,7 @@ class Transfer:
         return self.hi - self.lo
 
 
-def _segments(
-    old: IntervalPartition, new: IntervalPartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementary segments of the list with (old owner, new owner) each.
-
-    Returns (boundaries, old_owner_per_segment, new_owner_per_segment) where
-    segment i is [boundaries[i], boundaries[i+1]).
-    """
+def _check_same_list(old: IntervalPartition, new: IntervalPartition) -> None:
     if old.num_elements != new.num_elements:
         raise PartitionError(
             f"partitions cover different lists: {old.num_elements} vs "
@@ -109,6 +118,17 @@ def _segments(
             f"partitions have different processor counts: "
             f"{old.num_processors} vs {new.num_processors}"
         )
+
+
+def _segments(
+    old: IntervalPartition, new: IntervalPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementary segments of the list with (old owner, new owner) each.
+
+    Returns (boundaries, old_owner_per_segment, new_owner_per_segment) where
+    segment i is [boundaries[i], boundaries[i+1]).
+    """
+    _check_same_list(old, new)
     cuts = np.union1d(old.bounds, new.bounds)
     if cuts.size < 2:
         return cuts, np.empty(0, np.intp), np.empty(0, np.intp)
@@ -136,32 +156,55 @@ def transfer_matrix(
 ) -> list[Transfer]:
     """All slabs that must move, as (source, dest, lo, hi) transfers.
 
-    Adjacent segments with the same (source, dest) pair are coalesced, so
-    the number of transfers equals the number of network messages the
-    redistribution generates (paper's second cost factor).
+    One transfer per elementary segment whose owner changes.  Each rank owns
+    one block in each partition, so adjacent segments never share a
+    (source, dest) pair (see the module docstring) and the number of
+    transfers equals the number of network messages the redistribution
+    generates (paper's second cost factor).
     """
     cuts, old_own, new_own = _segments(old, new)
-    transfers: list[Transfer] = []
-    for i in range(old_own.size):
-        if old_own[i] == new_own[i]:
-            continue
-        lo, hi = int(cuts[i]), int(cuts[i + 1])
-        if (
-            transfers
-            and transfers[-1].source == old_own[i]
-            and transfers[-1].dest == new_own[i]
-            and transfers[-1].hi == lo
-        ):
-            prev = transfers.pop()
-            transfers.append(Transfer(prev.source, prev.dest, prev.lo, hi))
-        else:
-            transfers.append(Transfer(int(old_own[i]), int(new_own[i]), lo, hi))
-    return transfers
+    return [
+        Transfer(int(old_own[i]), int(new_own[i]), int(cuts[i]), int(cuts[i + 1]))
+        for i in np.flatnonzero(old_own != new_own)
+    ]
 
 
 def message_count(old: IntervalPartition, new: IntervalPartition) -> int:
     """Number of point-to-point messages the redistribution generates."""
     return len(transfer_matrix(old, new))
+
+
+def _old_intervals(old: IntervalPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Each rank's old interval as (lo, hi) arrays indexed by rank."""
+    lo = np.empty_like(old.owners)
+    hi = np.empty_like(old.owners)
+    lo[old.owners] = old.bounds[:-1]
+    hi[old.owners] = old.bounds[1:]
+    return lo, hi
+
+
+def _gain(
+    old_lo: np.ndarray,
+    old_hi: np.ndarray,
+    old_bounds: np.ndarray,
+    new_bounds: np.ndarray,
+    new_owners: np.ndarray,
+    cost_model: RedistributionCostModel,
+) -> float:
+    """The Fig. 6 COST from the closed form in the module docstring, O(p).
+
+    *old_lo*/*old_hi* are each rank's old interval (:func:`_old_intervals`);
+    block ``b`` of the new partition is ``new_bounds[b:b+2]``, owned by
+    ``new_owners[b]``.
+    """
+    lo = np.maximum(old_lo[new_owners], new_bounds[:-1])
+    hi = np.minimum(old_hi[new_owners], new_bounds[1:])
+    kept = hi - lo  # per new block; <= 0 where its owner keeps nothing
+    stays = kept > 0
+    overlap = int(kept[stays].sum())
+    segments = np.union1d(old_bounds, new_bounds).size - 1
+    messages = segments - int(np.count_nonzero(stays))
+    return cost_model.element_weight * overlap - cost_model.message_weight * messages
 
 
 def redistribution_gain(
@@ -172,11 +215,12 @@ def redistribution_gain(
     """The COST function of Fig. 6 (higher is better).
 
     Rewards kept-in-place elements and penalizes message count:
-    ``element_weight * overlap - message_weight * messages``.
+    ``element_weight * overlap - message_weight * messages``, with the
+    same values as :func:`overlap_elements` and :func:`message_count`.
     """
-    return cost_model.element_weight * overlap_elements(
-        old, new
-    ) - cost_model.message_weight * message_count(old, new)
+    _check_same_list(old, new)
+    old_lo, old_hi = _old_intervals(old)
+    return _gain(old_lo, old_hi, old.bounds, new.bounds, new.owners, cost_model)
 
 
 def move(arrangement: Sequence[int] | np.ndarray, element: int, location: int) -> np.ndarray:
@@ -217,9 +261,16 @@ def minimize_cost_redistribution(
     the location maximizing the COST (gain) of redistributing from the old
     partition (old arrangement + old capabilities) to the candidate
     partition (candidate arrangement + new capabilities).  Ties keep the
-    element at its current location (no gratuitous moves) — with this
-    tie-break the greedy recovers the paper's Fig. 5 arrangement
-    (P0, P3, P1, P2, P4) on the paper's example.
+    element at its current location (no gratuitous moves), and among other
+    locations the first ``j`` wins — with this tie-break the greedy
+    recovers the paper's Fig. 5 arrangement (P0, P3, P1, P2, P4) on the
+    paper's example.
+
+    Each of the O(p^2) candidates is scored in O(p) from its block sizes
+    (:func:`proportional_sizes`, the same apportionment as
+    :func:`partition_list`) with the closed form in the module docstring,
+    which relies on each rank owning one block per partition.  No candidate
+    partition object is built.
 
     Returns the chosen new arrangement.  The resulting partition is obtained
     with ``partition_list(n, new_capabilities, arrangement)``.
@@ -235,17 +286,23 @@ def minimize_cost_redistribution(
     if n_elements < 0:
         raise PartitionError(f"n_elements must be >= 0, got {n_elements}")
     old_part = partition_list(n_elements, old_cap, old_arr)
+    old_lo, old_hi = _old_intervals(old_part)
+    bounds = np.zeros(p + 1, dtype=np.intp)
 
     def gain_of(candidate_arr: np.ndarray) -> float:
-        candidate = partition_list(n_elements, new_cap, candidate_arr)
-        return redistribution_gain(old_part, candidate, cost_model)
+        np.cumsum(
+            proportional_sizes(n_elements, new_cap[candidate_arr]), out=bounds[1:]
+        )
+        return _gain(
+            old_lo, old_hi, old_part.bounds, bounds, candidate_arr, cost_model
+        )
 
     list_out = old_arr.copy()
+    best_gain = gain_of(list_out)  # gain of list_out, carried across steps
     for i in range(p):
         element = int(old_arr[i])
         current = int(np.flatnonzero(list_out == element)[0])
         best_j = current
-        best_gain = gain_of(list_out)
         for j in range(p):
             if j == current:
                 continue

@@ -141,6 +141,19 @@ class TestCommands:
         rc = main(["mcr", "--old", "0.5", "0.5", "--new", "1.0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--old", "0", "0", "--new", "1", "1"], "--old"),
+        (["--old", "1", "-1", "--new", "1", "1"], "--old"),
+        (["--old", "1", "nan", "--new", "1", "1"], "--old"),
+        (["--old", "1", "1", "--new", "0", "0"], "--new"),
+        (["--old", "1", "1", "--new", "1", "1", "--elements", "-3"], "--elements"),
+    ])
+    def test_mcr_bad_input_is_one_line_error(self, capsys, argv, flag):
+        rc = main(["mcr", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert flag in err and "\n" not in err and "Traceback" not in err
+
     def test_run_backend_flag(self, capsys):
         rc = main([
             "run", "--vertices", "300", "--iterations", "5",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
+from repro.net.cluster import sun4_cluster
 from repro.partition.arrangement import (
     RedistributionCostModel,
     brute_force_arrangement,
@@ -18,11 +19,73 @@ from repro.partition.arrangement import (
     redistribution_gain,
     transfer_matrix,
 )
-from repro.partition.intervals import partition_list
+from repro.partition.intervals import IntervalPartition, partition_list
 
 # The paper's Sec. 3.4 example.
 OLD_CAP = [0.27, 0.18, 0.34, 0.07, 0.14]
 NEW_CAP = [0.10, 0.13, 0.29, 0.24, 0.24]
+
+
+COST_MODELS = (
+    RedistributionCostModel(),
+    RedistributionCostModel(message_weight=0.0),
+    RedistributionCostModel(element_weight=0.0),
+    RedistributionCostModel.from_network(sun4_cluster(3).make_network(), 8),
+)
+
+
+def scalar_mcr(old_arrangement, old_caps, new_caps, n, cost_model):
+    """The Fig. 6 greedy scored by building every candidate partition.
+
+    Test oracle for :func:`minimize_cost_redistribution`: each candidate is
+    a full :func:`partition_list`, and its gain comes from the segment
+    accounting of :func:`overlap_elements` and :func:`message_count`.
+    Returns (arrangement, gain of the arrangement).
+    """
+    old_part = partition_list(n, old_caps, old_arrangement)
+
+    def gain_of(arr):
+        cand = partition_list(n, new_caps, arr)
+        return cost_model.element_weight * overlap_elements(
+            old_part, cand
+        ) - cost_model.message_weight * message_count(old_part, cand)
+
+    old_arr = np.asarray(old_arrangement, dtype=np.intp)
+    list_out = old_arr.copy()
+    for element in old_arr.tolist():
+        current = int(np.flatnonzero(list_out == element)[0])
+        best_j, best_gain = current, gain_of(list_out)
+        for j in range(old_arr.size):
+            if j == current:
+                continue
+            gain = gain_of(move(list_out, element, j))
+            if gain > best_gain:
+                best_gain, best_j = gain, j
+        if best_j != current:
+            list_out = move(list_out, element, best_j)
+    return list_out, gain_of(list_out)
+
+
+@st.composite
+def capabilities(draw, p):
+    """Capability vectors as ``decide`` passes them: zeros allowed."""
+    kind = draw(st.sampled_from(["random", "equal", "zeros"]))
+    if kind == "equal":
+        return [1.0] * p
+    low = 0.0 if kind == "zeros" else 1e-3
+    return draw(
+        st.lists(
+            st.one_of(st.just(low), st.floats(1e-3, 1.0)),
+            min_size=p, max_size=p,
+        ).filter(lambda c: sum(c) > 0)
+    )
+
+
+@st.composite
+def partitions_with_empty_blocks(draw, n, p):
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=p - 1, max_size=p - 1)))
+    owners = draw(st.permutations(range(p)))
+    return IntervalPartition(np.array([0, *cuts, n]), np.array(owners))
 
 
 class TestMove:
@@ -146,6 +209,29 @@ class TestOverlapAndTransfers:
         moved = sum(t.count for t in transfer_matrix(a, b))
         assert moved == n - ov
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_message_per_moving_segment(self, data):
+        p = data.draw(st.integers(1, 7))
+        n = data.draw(st.integers(0, 40))
+        a = data.draw(partitions_with_empty_blocks(n, p))
+        b = data.draw(partitions_with_empty_blocks(n, p))
+        cuts = sorted(set(a.bounds.tolist()) | set(b.bounds.tolist()))
+        moving = sum(
+            a.owner_of(lo) != b.owner_of(lo)
+            for lo, hi in zip(cuts, cuts[1:])
+            if hi > lo
+        )
+        transfers = transfer_matrix(a, b)
+        assert message_count(a, b) == len(transfers) == moving
+        for t, u in zip(transfers, transfers[1:]):
+            assert not (t.hi == u.lo and (t.source, t.dest) == (u.source, u.dest))
+        for cm in COST_MODELS:
+            expected = cm.element_weight * overlap_elements(
+                a, b
+            ) - cm.message_weight * message_count(a, b)
+            assert redistribution_gain(a, b, cm) == expected
+
 
 class TestMCR:
     def test_recovers_paper_arrangement(self):
@@ -228,3 +314,41 @@ class TestMCR:
         g_chosen = redistribution_gain(old, partition_list(n, nc, arr), cm)
         g_ident = redistribution_gain(old, partition_list(n, nc), cm)
         assert g_chosen >= g_ident - 1e-9
+
+    def test_shares_just_under_an_integer(self):
+        # n * c / sum(c) lands just below 31259 and 62518: both floors drop
+        # one, so the largest-remainder step hands out p items.
+        caps = np.array([0.2, 0.4])
+        assert np.floor(93777 * caps / caps.sum()).sum() == 93777 - 2
+        for cm in COST_MODELS:
+            want, _ = scalar_mcr([1, 0], [0.5, 0.5], caps, 93777, cm)
+            got = minimize_cost_redistribution(
+                [1, 0], [0.5, 0.5], caps, 93777, cost_model=cm
+            )
+            np.testing.assert_array_equal(got, want)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, data):
+        p = data.draw(st.integers(1, 9))
+        start = data.draw(st.permutations(range(p)))
+        old_caps = data.draw(capabilities(p))
+        new_caps = data.draw(capabilities(p))
+        n = data.draw(
+            st.one_of(
+                st.just(0),
+                st.integers(0, p - 1),
+                st.integers(0, 2_000),
+                st.integers(10**5, 10**7),
+            )
+        )
+        cm = data.draw(st.sampled_from(COST_MODELS))
+        want, want_gain = scalar_mcr(start, old_caps, new_caps, n, cm)
+        got = minimize_cost_redistribution(
+            start, old_caps, new_caps, n, cost_model=cm
+        )
+        np.testing.assert_array_equal(got, want)
+        gain = redistribution_gain(
+            partition_list(n, old_caps, start), partition_list(n, new_caps, got), cm
+        )
+        assert gain == want_gain
